@@ -11,6 +11,9 @@ Every kernel exists in two flavours:
 * a ``*_py`` reference implementation in plain Python / vectorized numpy,
 * a numba ``@njit`` compilation of the same code where that pays off.
 
+``scan_candidates`` is ``fingerprint_rows`` followed by a vectorized
+comparison, so both flavours share it.
+
 The active flavour is chosen once at import time.  Set the environment
 variable ``RELSEM_NO_NUMBA=1`` to force the fallback path (the benchmark
 in ``benchmarks/bench_kernels.py`` compares both in one process).
@@ -129,44 +132,63 @@ def _equal_on_pairs_loop(rows, i0, i1, out):
 
 
 # ---------------------------------------------------------------------------
-# candidate scan for the d-transitive representation search
+# closure fingerprints for the d-transitive representation search
 # ---------------------------------------------------------------------------
 
-def scan_candidates_py(rows, n, admissible_mask, target_size, need_empty,
-                       target_idem, target_has_identity, flags):
-    """Filter partitions of the n*n pair set as representation candidates.
+#: Columns of a fingerprint row written by ``fingerprint_rows``.
+FP_BLOCKS, FP_SIZE, FP_EMPTY, FP_ZERO, FP_IDEMPOTENTS, FP_IDENTITY = range(6)
+FP_WIDTH = 6
+
+
+def fingerprint_rows_py(rows, n, admissible_mask, cap, out):
+    """Closure fingerprints of partitions of the n*n pair set.
 
     Each row of ``rows`` is a partition of the pair indices in restricted
-    growth form.  A row whose block count k has bit k set in
-    ``admissible_mask`` is examined: its blocks are packed into int64
-    relations, the closure under composition is generated (aborting past
-    ``target_size`` elements) and cheap isomorphism invariants are compared.
-
-    ``flags[r]`` is set to 0 (skipped), 1 (examined, rejected) or
-    2 (survivor, worth an exact isomorphism check).  Returns the number of
-    rows examined.
+    growth form.  ``out[r, FP_BLOCKS]`` receives its block count k.  A row
+    whose k has bit k set in ``admissible_mask`` is examined: its blocks
+    are packed into int64 relations and the closure under composition is
+    generated, aborting past ``cap`` elements.  ``out[r, FP_SIZE]`` is the
+    closure size, ``cap + 1`` past the cap, and 0 for rows not examined.
+    Only for closures of exactly ``cap`` elements are the isomorphism
+    invariants written: the empty relation, a zero (reported for two or
+    more elements only), the idempotent count and an identity; elsewhere
+    those columns are 0.  Returns the number of rows examined.
     """
-    m2 = n * n
-    masks = np.zeros(m2 + 1, dtype=np.int64)
-    els = np.zeros(target_size + 1, dtype=np.int64)
+    # plain Python ints compose several times faster than numpy scalars;
+    # converting a slice at a time keeps the lists small
     examined = 0
-    for r in range(rows.shape[0]):
+    for start in range(0, rows.shape[0], 1024):
+        stop = start + 1024
+        examined += _fingerprint_loop(rows[start:stop].tolist(), n,
+                                      admissible_mask, cap, out[start:stop])
+    return examined
+
+
+def _fingerprint_loop(rows, n, admissible_mask, cap, out):
+    m2 = n * n
+    masks = [0] * (m2 + 1)
+    els = [0] * (cap + 1)
+    examined = 0
+    for r in range(len(rows)):
+        row = rows[r]
         k = 0
         for idx in range(m2):
-            v = int(rows[r, idx]) + 1
+            v = int(row[idx]) + 1
             if v > k:
                 k = v
+        out[r, FP_BLOCKS] = k
+        for c in range(FP_SIZE, FP_WIDTH):
+            out[r, c] = 0
         if ((admissible_mask >> k) & 1) == 0:
-            flags[r] = 0
             continue
-        flags[r] = 1
         examined += 1
-        if k > target_size:
+        out[r, FP_SIZE] = cap + 1
+        if k > cap:
             continue
         for bk in range(k):
             masks[bk] = 0
         for idx in range(m2):
-            masks[rows[r, idx]] |= np.int64(1) << idx
+            masks[row[idx]] |= 1 << idx
         # closure under two-sided composition with the generators
         cnt = 0
         for bk in range(k):
@@ -191,7 +213,7 @@ def scan_candidates_py(rows, n, admissible_mask, target_size, need_empty,
                                 seen = True
                                 break
                         if not seen:
-                            if cnt >= target_size:
+                            if cnt >= cap:
                                 ok = False
                                 break
                             els[cnt] = p
@@ -201,19 +223,17 @@ def scan_candidates_py(rows, n, admissible_mask, target_size, need_empty,
                 if not ok:
                     break
             level_start = level_end
-        if not ok or cnt != target_size:
+        if not ok:
             continue
-        # invariant fingerprints against the target table
-        has_empty = False
+        out[r, FP_SIZE] = cnt
+        if cnt != cap:
+            continue
+        # isomorphism invariants
         for ci in range(cnt):
             if els[ci] == 0:
-                has_empty = True
+                out[r, FP_EMPTY] = 1
                 break
-        if has_empty != (need_empty == 1):
-            continue
-        if need_empty == 0 and cnt >= 2:
-            # a zero anywhere in the closure rules out a zero-free target
-            has_zero = False
+        if cnt >= 2:
             for ci in range(cnt):
                 z = els[ci]
                 is_zero = True
@@ -223,20 +243,16 @@ def scan_candidates_py(rows, n, admissible_mask, target_size, need_empty,
                         is_zero = False
                         break
                 if is_zero:
-                    has_zero = True
+                    out[r, FP_ZERO] = 1
                     break
-            if has_zero:
-                continue
         idem = 0
         for ci in range(cnt):
             if compose_mask(els[ci], els[ci], n) == els[ci]:
                 idem += 1
-        if idem != target_idem:
-            continue
+        out[r, FP_IDEMPOTENTS] = idem
         if cnt == 1:
-            has_identity = True
+            out[r, FP_IDENTITY] = 1
         else:
-            has_identity = False
             for ci in range(cnt):
                 e = els[ci]
                 is_id = True
@@ -246,12 +262,48 @@ def scan_candidates_py(rows, n, admissible_mask, target_size, need_empty,
                         is_id = False
                         break
                 if is_id:
-                    has_identity = True
+                    out[r, FP_IDENTITY] = 1
                     break
-        if has_identity != (target_has_identity == 1):
-            continue
-        flags[r] = 2
     return examined
+
+
+def fingerprint_matches(fp, target_size, need_empty, target_idem,
+                        target_has_identity):
+    """Rows of a fingerprint array whose invariants fit the target table.
+
+    A zero in the closure rules out a zero-free target; a target with a
+    zero needs the empty relation in the closure.
+    """
+    return ((fp[:, FP_SIZE] == target_size)
+            & (fp[:, FP_EMPTY] == need_empty)
+            & ((fp[:, FP_ZERO] == 0) | (need_empty == 1))
+            & (fp[:, FP_IDEMPOTENTS] == target_idem)
+            & (fp[:, FP_IDENTITY] == target_has_identity))
+
+
+def _scan_candidates(fingerprint, rows, n, admissible_mask, target_size,
+                     need_empty, target_idem, target_has_identity, flags):
+    fp = np.empty((rows.shape[0], FP_WIDTH), dtype=np.int32)
+    examined = fingerprint(rows, n, admissible_mask, target_size, fp)
+    flags[:] = fp[:, FP_SIZE] > 0
+    flags[fingerprint_matches(fp, target_size, need_empty, target_idem,
+                              target_has_identity)] = 2
+    return examined
+
+
+def scan_candidates_py(rows, n, admissible_mask, target_size, need_empty,
+                       target_idem, target_has_identity, flags):
+    """Filter partitions of the n*n pair set as representation candidates.
+
+    The rows are fingerprinted with ``cap = target_size`` (see
+    ``fingerprint_rows_py``) and compared with the target's invariants.
+    ``flags[r]`` is set to 0 (skipped), 1 (examined, rejected) or
+    2 (survivor, worth an exact isomorphism check).  Returns the number of
+    rows examined.
+    """
+    return _scan_candidates(fingerprint_rows_py, rows, n, admissible_mask,
+                            target_size, need_empty, target_idem,
+                            target_has_identity, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +314,9 @@ if NUMBA_ENABLED:
     compose_mask = njit(cache=True)(compose_mask_py)
     rgs_fill = njit(cache=True)(rgs_fill_py)
     _equal_on_pairs_impl = njit(cache=True)(_equal_on_pairs_loop)
-    # scan_candidates_py calls compose_mask through the module global, which
+    # _fingerprint_loop calls compose_mask through the module global, which
     # now resolves to the jitted version at compile time
-    scan_candidates = njit(cache=True)(scan_candidates_py)
+    fingerprint_rows = njit(cache=True)(_fingerprint_loop)
 
     def equal_on_pairs(rows, i0, i1):
         out = np.empty(rows.shape[0], dtype=np.bool_)
@@ -272,8 +324,16 @@ if NUMBA_ENABLED:
 else:
     compose_mask = compose_mask_py
     rgs_fill = rgs_fill_py
-    scan_candidates = scan_candidates_py
+    fingerprint_rows = fingerprint_rows_py
     equal_on_pairs = equal_on_pairs_py
+
+
+def scan_candidates(rows, n, admissible_mask, target_size, need_empty,
+                    target_idem, target_has_identity, flags):
+    """``scan_candidates_py`` on the active ``fingerprint_rows`` flavour."""
+    return _scan_candidates(fingerprint_rows, rows, n, admissible_mask,
+                            target_size, need_empty, target_idem,
+                            target_has_identity, flags)
 
 
 def rgs_batches(m, maxk, batch_size=65536):

@@ -290,6 +290,10 @@ def _cmd_oracle(args) -> int:
     if args.partition:
         parts = [load_part(args.partition)]
     else:
+        if args.ground < 1:
+            print(f"error: --ground must be >= 1, got {args.ground}",
+                  file=sys.stderr)
+            return EXIT_INPUT
         if args.ground > args.guard:
             raise GuardExceededError(
                 f"ground {args.ground} exceeds the guard {args.guard}")
@@ -563,6 +567,10 @@ def _suite_checks(suite: str, maxk: int | None, max_ground: int):
 
 
 def _cmd_verify(args) -> int:
+    if args.max_ground < 1:
+        print(f"error: --max-ground must be >= 1, got {args.max_ground}",
+              file=sys.stderr)
+        return EXIT_INPUT
     failures = 0
     for name, check in _suite_checks(args.suite, args.max, args.max_ground):
         start = time.perf_counter()

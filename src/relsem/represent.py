@@ -11,8 +11,10 @@ certifies exhaustion of the declared bounds.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,9 +51,21 @@ class SearchBounds:
 
 @dataclass(frozen=True)
 class SearchReport:
+    """Outcome of ``search_d_transitive``.
+
+    ``candidates_examined`` counts the partitions with an admissible block
+    count up to and including the witness (all of them on exhaustion).
+    ``rows_swept`` counts the partitions this call fingerprinted, which is
+    0 when every catalogue it needed was already swept far enough, and
+    ``confirmations`` the survivors of the invariant prefilter that went
+    to an exact isomorphism check.
+    """
+
     witness: DTransitiveWitness | None
     candidates_examined: int
     bounds: SearchBounds
+    rows_swept: int = 0
+    confirmations: int = 0
 
     @property
     def found(self) -> bool:
@@ -136,6 +150,7 @@ def _blocks_of(ground: GroundSet, kind: ProductKind) -> LabeledPartition:
 # ---------------------------------------------------------------------------
 
 def _closes_to_all(h: AbstractSemigroup, subset) -> bool:
+    """Whether the elements of ``subset`` generate all of h."""
     m = h.size
     closure = set(subset)
     frontier = list(closure)
@@ -200,6 +215,108 @@ def count_candidates(max_ground: int, block_counts) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the candidate catalogue
+# ---------------------------------------------------------------------------
+
+class _Chunk(NamedTuple):
+    """The entries one RGS batch contributed to a catalogue.
+
+    ``rows`` are the entries' restricted growth strings, ``fingerprints``
+    their ``_accel.fingerprint_rows`` columns, ``examined[e]`` the number
+    of admissible rows of the stream up to and including entry e, and
+    ``total`` that number at the end of the batch.
+    """
+
+    rows: np.ndarray
+    fingerprints: np.ndarray
+    examined: np.ndarray
+    total: int
+
+
+class _Catalogue:
+    """The partitions of the n*n pair set whose blocks close to ``size``
+    elements, in RGS order, swept from the stream only as far as asked.
+
+    Which partitions these are depends only on n, on ``size`` and on the
+    admissible block counts, never on a target's table, so every search
+    with the same key shares one catalogue.  Chunks are appended once a
+    whole batch is fingerprinted and never change afterwards.
+    """
+
+    def __init__(self, n: int, size: int, counts: tuple[int, ...],
+                 batch_size: int):
+        self.n = n
+        self.size = size
+        self.mask = sum(1 << k for k in counts)
+        self.chunks: list[_Chunk] = []
+        self.done = False
+        self.failed = False
+        self._stream = _accel.rgs_batches(n * n, max(counts), batch_size)
+        self._lock = threading.Lock()
+
+    @property
+    def examined(self) -> int:
+        """Admissible rows in the batches swept so far."""
+        return self.chunks[-1].total if self.chunks else 0
+
+    def walk(self):
+        """Yield ``(chunk, rows fingerprinted to reach it)`` in RGS order."""
+        i = 0
+        while True:
+            swept = 0
+            if i >= len(self.chunks):
+                with self._lock:
+                    while i >= len(self.chunks) and not self.done:
+                        swept += self._extend()
+                if i >= len(self.chunks):
+                    return
+            yield self.chunks[i], swept
+            i += 1
+
+    def _extend(self) -> int:
+        if self.failed:
+            raise RuntimeError("an earlier sweep of this catalogue failed")
+        try:
+            rows = next(self._stream, None)
+            if rows is None:
+                self.done = True
+                return 0
+            fp = np.empty((rows.shape[0], _accel.FP_WIDTH), dtype=np.int32)
+            _accel.fingerprint_rows(rows, self.n, self.mask, self.size, fp)
+            examined = self.examined + np.cumsum(fp[:, _accel.FP_SIZE] > 0)
+            hits = np.nonzero(fp[:, _accel.FP_SIZE] == self.size)[0]
+            chunk = _Chunk(rows[hits], fp[hits], examined[hits],
+                           int(examined[-1]))
+        except BaseException:
+            # the stream may have lost the batch: never extend this one again
+            self.failed = True
+            raise
+        self.chunks.append(chunk)
+        return rows.shape[0]
+
+
+_CATALOGUES: dict[tuple, _Catalogue] = {}
+_CATALOGUES_LOCK = threading.Lock()
+
+
+def _catalogue(n: int, size: int, counts: tuple[int, ...],
+               batch_size: int) -> _Catalogue:
+    key = (n, size, counts)
+    with _CATALOGUES_LOCK:
+        catalogue = _CATALOGUES.get(key)
+        if catalogue is None or catalogue.failed:
+            catalogue = _Catalogue(n, size, counts, batch_size)
+            _CATALOGUES[key] = catalogue
+        return catalogue
+
+
+def clear_catalogues() -> None:
+    """Forget every catalogue; the next search of each key sweeps afresh."""
+    with _CATALOGUES_LOCK:
+        _CATALOGUES.clear()
+
+
+# ---------------------------------------------------------------------------
 # the bounded search
 # ---------------------------------------------------------------------------
 
@@ -216,6 +333,11 @@ def search_d_transitive(h: AbstractSemigroup, max_ground: int = 4,
     and invariant prefilter get an exact isomorphism check; the first
     witness in canonical order is returned.  An exhausted report lists the
     exact bounds swept.
+
+    The closures are looked up in a per-process catalogue keyed by
+    (ground size, |h|, admissible block counts at that size), which is
+    swept on demand in batches of ``batch_size`` rows and shared by every
+    later search with the same key.
     """
     if max_ground < 1:
         raise ValueError("max_ground must be >= 1")
@@ -238,39 +360,32 @@ def search_d_transitive(h: AbstractSemigroup, max_ground: int = 4,
             f"{estimate} candidate partitions exceed the guard of "
             f"{max_candidates}; lower the bounds or raise max_candidates")
 
-    zero = h.zero()
-    need_empty = 1 if zero is not None else 0
+    need_empty = 1 if h.zero() is not None else 0
     target_idem = len(h.idempotents())
     target_has_identity = 1 if h.identity() is not None else 0
 
     examined = 0
+    swept = 0
+    confirmations = 0
     for n in range(1, max_ground + 1):
-        m2 = n * n
-        counts_n = [k for k in counts if k <= m2]
+        counts_n = tuple(k for k in counts if k <= n * n)
         if not counts_n:
             continue
-        maxk = max(counts_n)
-        admissible_mask = 0
-        for k in counts_n:
-            admissible_mask |= 1 << k
-        for rows in _accel.rgs_batches(m2, maxk, batch_size):
-            flags = np.empty(rows.shape[0], dtype=np.uint8)
-            batch_examined = int(_accel.scan_candidates(
-                rows, n, admissible_mask, m, need_empty, target_idem,
-                target_has_identity, flags))
-            survivors = np.nonzero(flags == 2)[0]
-            hit = None
-            for si in survivors:
-                witness = _confirm_candidate(h, n, rows[si])
+        catalogue = _catalogue(n, m, counts_n, batch_size)
+        for chunk, rows in catalogue.walk():
+            swept += rows
+            survivors = np.nonzero(_accel.fingerprint_matches(
+                chunk.fingerprints, m, need_empty, target_idem,
+                target_has_identity))[0]
+            for e in survivors:
+                confirmations += 1
+                witness = _confirm_candidate(h, n, chunk.rows[e])
                 if witness is not None:
-                    hit = (int(si), witness)
-                    break
-            if hit is not None:
-                si, witness = hit
-                examined += int(np.count_nonzero(flags[:si + 1] >= 1))
-                return SearchReport(witness, examined, bounds)
-            examined += batch_examined
-    return SearchReport(None, examined, bounds)
+                    return SearchReport(
+                        witness, examined + int(chunk.examined[e]), bounds,
+                        swept, confirmations)
+        examined += catalogue.examined
+    return SearchReport(None, examined, bounds, swept, confirmations)
 
 
 def _confirm_candidate(h: AbstractSemigroup, n: int,
@@ -341,16 +456,4 @@ def verify_witness(h: AbstractSemigroup, w: DTransitiveWitness) -> bool:
     for b in range(k):
         if image[w.generator_map[b]] != frozenset(block_pairs[b]):
             return False
-    gen_set = set(w.generator_map)
-    closure_idx = set(gen_set)
-    frontier = list(closure_idx)
-    while frontier:
-        fresh = []
-        for a in list(closure_idx):
-            for b in frontier:
-                for p in (h.table[a][b], h.table[b][a]):
-                    if p not in closure_idx:
-                        closure_idx.add(p)
-                        fresh.append(p)
-        frontier = fresh
-    return len(closure_idx) == m
+    return _closes_to_all(h, w.generator_map)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from relsem import _accel
-from relsem.naive import compose_pairs
+from relsem.naive import closure_pairs, compose_pairs
 
 
 def bell(n):
@@ -123,3 +123,51 @@ def test_scan_candidates_agreement_with_wide_block_counts():
                                        idem, ident, fb)
         assert ea == eb == rows.shape[0]
         assert np.array_equal(fa, fb)
+
+
+
+def _naive_fingerprint(row, n, cap):
+    """The fingerprint of one partition row, on frozensets of pairs."""
+    blocks = [frozenset((idx // n, idx % n) for idx, b in enumerate(row)
+                        if b == blk) for blk in range(max(row) + 1)]
+    closed = closure_pairs(blocks, cap=cap)
+    if closed is None:
+        return [len(blocks), cap + 1, 0, 0, 0, 0]
+    elements, table = closed
+    m = len(elements)
+    if m != cap:
+        return [len(blocks), m, 0, 0, 0, 0]
+    span = range(m)
+    zero = m >= 2 and any(all(table[z][x] == z == table[x][z] for x in span)
+                          for z in span)
+    identity = any(all(table[e][x] == x == table[x][e] for x in span)
+                   for e in span)
+    return [len(blocks), m, int(frozenset() in elements), int(zero),
+            sum(table[i][i] == i for i in span), int(identity)]
+
+
+@pytest.mark.parametrize("backend", ["active", "python"])
+def test_fingerprint_rows_match_naive_closure(backend):
+    fn = _accel.fingerprint_rows if backend == "active" else \
+        _accel.fingerprint_rows_py
+    rng = random.Random(5)
+    samples = [(n, all_rgs(n * n, n * n)) for n in (1, 2)]
+    samples.append((3, rng.sample(all_rgs(9, 9), 200)))
+    out = np.empty((1, _accel.FP_WIDTH), dtype=np.int32)
+    for n, rows in samples:
+        every_count = sum(1 << k for k in range(1, n * n + 1))
+        for row in rows:
+            arr = np.array([row], dtype=np.uint8)
+            closed = closure_pairs(
+                [frozenset((idx // n, idx % n) for idx, b in enumerate(row)
+                           if b == blk) for blk in range(max(row) + 1)],
+                cap=40)
+            size = 41 if closed is None else len(closed[0])
+            # at the closure's size, one below it, and the largest cap used
+            for cap in {min(size, 40), max(size - 1, 1), 40}:
+                assert fn(arr, n, every_count, cap, out) == 1
+                assert out[0].tolist() == _naive_fingerprint(row, n, cap), \
+                    (row, cap)
+            k = max(row) + 1
+            assert fn(arr, n, every_count & ~(1 << k), 40, out) == 0
+            assert out[0].tolist() == [k, 0, 0, 0, 0, 0]

@@ -138,6 +138,9 @@ def test_oracle_cli(tmp_path, capsys):
     assert "kind=sym" in out and "OK" in out
     assert main(["oracle", "--ground", "2"]) == 0
     assert main(["oracle", "--ground", "4"]) == 3  # guard
+    capsys.readouterr()
+    assert main(["oracle", "--ground", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_verify_suites(capsys):
@@ -148,6 +151,8 @@ def test_verify_suites(capsys):
     assert main(["verify", "--suite", "reps", "--max-ground", "3"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] search-group2" in out
+    assert main(["verify", "--suite", "reps", "--max-ground", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_output_independent_of_threads(tmp_path, fixture_cay, capsys):

@@ -1,13 +1,17 @@
 """Representation witnesses: constructions, bounded search, verification."""
 
+import sys
+import threading
+
 import pytest
 
+from relsem import _accel
 from relsem.errors import GuardExceededError
 from relsem.generation import from_partition, generate
 from relsem.partitions import Partition, ProductKind
 from relsem.relations import BinaryRelation, GroundSet
-from relsem.represent import (admissible_generator_counts, count_candidates,
-                              represent_left_zero, represent_member,
+from relsem.represent import (admissible_generator_counts, clear_catalogues,
+                              count_candidates, represent_left_zero, represent_member,
                               represent_right_zero, search_d_transitive,
                               verify_witness)
 from relsem.semigroups import (cyclic_group, group_with_zero,
@@ -240,3 +244,120 @@ def test_search_agrees_with_naive_oracle_beyond_the_small_corpus():
     # the three class closures really are found
     assert search_d_transitive(closure_table(2, ProductKind.SYM),
                                max_ground=2).found
+
+
+# -- the shared candidate catalogue ------------------------------------------------
+
+def _outcome(report):
+    w = report.witness
+    return (None if w is None else (w.ground.size, w.blocks.base.assignment),
+            report.candidates_examined, report.confirmations)
+
+
+def test_warm_search_sweeps_nothing_and_reports_the_same():
+    clear_catalogues()
+    for h in (cyclic_group(2), null_band(4)):
+        cold = search_d_transitive(h, max_ground=3)
+        warm = search_d_transitive(h, max_ground=3)
+        assert cold.rows_swept > 0
+        assert warm.rows_swept == 0
+        assert _outcome(cold) == _outcome(warm)
+    # the group is confirmed by the first survivor; the null band has none
+    assert _outcome(warm) == (None, 6 + 3025, 0)
+    assert search_d_transitive(cyclic_group(2), max_ground=3).confirmations == 1
+
+
+def test_search_sweeps_the_stream_only_up_to_the_witness(monkeypatch):
+    # the left-zero witness 0011 is the fourth of the eight two-block rows
+    # at n = 2, so with two rows per batch only two batches are swept
+    opened = []
+    fingerprinted = []
+    rgs_batches = _accel.rgs_batches
+    fingerprint_rows = _accel.fingerprint_rows
+
+    def spy_rgs(m, maxk, batch_size):
+        opened.append(m)
+        return rgs_batches(m, maxk, batch_size)
+
+    def spy_fingerprint(rows, *args):
+        fingerprinted.append(rows.shape[0])
+        return fingerprint_rows(rows, *args)
+
+    monkeypatch.setattr(_accel, "rgs_batches", spy_rgs)
+    monkeypatch.setattr(_accel, "fingerprint_rows", spy_fingerprint)
+    clear_catalogues()
+    report = search_d_transitive(left_zero_semigroup(2), max_ground=3,
+                                 batch_size=2)
+    assert report.witness.blocks.base.assignment == (0, 0, 1, 1)
+    assert report.candidates_examined == 3
+    assert opened == [4]
+    assert fingerprinted == [2, 2]
+    assert report.rows_swept == 4
+    # a target with the same key resumes the stream where the witness left it
+    report = search_d_transitive(right_zero_semigroup(2), max_ground=2)
+    assert report.witness.blocks.base.assignment == (0, 1, 0, 1)
+    assert report.candidates_examined == 5
+    assert fingerprinted == [2, 2, 2]
+    assert report.rows_swept == 2
+    clear_catalogues()
+
+
+def test_failed_sweep_is_never_resumed(monkeypatch):
+    fingerprint_rows = _accel.fingerprint_rows
+
+    def failing(*args):
+        raise MemoryError
+
+    clear_catalogues()
+    monkeypatch.setattr(_accel, "fingerprint_rows", failing)
+    with pytest.raises(MemoryError):
+        search_d_transitive(cyclic_group(2), max_ground=2)
+    monkeypatch.setattr(_accel, "fingerprint_rows", fingerprint_rows)
+    # the batch the failed sweep drew is not lost: the sweep starts afresh
+    report = search_d_transitive(cyclic_group(2), max_ground=2)
+    assert report.found
+    assert report.candidates_examined == 8
+    assert report.rows_swept == 1 + 8
+
+
+def test_concurrent_searches_sweep_each_row_once():
+    targets = [cyclic_group(2), left_zero_semigroup(2),
+               right_zero_semigroup(2), null_band(4), null_band(3),
+               closure_table(2, ProductKind.SYM)]
+    clear_catalogues()
+    serial = []
+    serial_swept = 0
+    for h in targets:
+        report = search_d_transitive(h, max_ground=3, batch_size=64)
+        serial.append(_outcome(report))
+        serial_swept += report.rows_swept
+    clear_catalogues()
+    results = {}
+    swept = []
+
+    def worker(w):
+        for i in range(len(targets)):
+            i = (i + w) % len(targets)
+            report = search_d_transitive(targets[i], max_ground=3,
+                                         batch_size=64)
+            results[w, i] = _outcome(report)
+            swept.append(report.rows_swept)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,))
+                   for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4 * len(targets)
+    for (w, i), outcome in results.items():
+        assert outcome == serial[i]
+    # every row is fingerprinted by exactly one thread
+    assert sum(swept) == serial_swept
+    clear_catalogues()
