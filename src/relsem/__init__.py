@@ -20,8 +20,8 @@ from .partitions import (LabeledPartition, Partition, ProductKind,
 from .semigroups import (AbstractSemigroup, BandDecomposition, BandOrder,
                          adjoin_identity, band_order, band_union_with_core,
                          find_isomorphism, hasse_dot, identity_absorbing_union,
-                         is_ideal, is_subsemigroup, validate)
-from .generation import GeneratedSemigroup, abstract, from_partition, generate
+                         is_ideal)
+from .generation import GeneratedSemigroup, from_partition, generate
 from .classify import (CanonicalModel, ClassVerdict, ConditionReport,
                        canonical_model, check_product_class,
                        decompose_band_with_core)

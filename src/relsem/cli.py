@@ -39,11 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relsem",
         description="binary-relation semigroups generated by partitions")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; no randomized code paths yet")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint for module-internal parallelism; "
-                             "results never depend on it")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress informational chatter")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -571,20 +566,30 @@ def _cmd_verify(args) -> int:
         print(f"error: --max-ground must be >= 1, got {args.max_ground}",
               file=sys.stderr)
         return EXIT_INPUT
-    failures = 0
+    passed = failed = skipped = 0
     for name, check in _suite_checks(args.suite, args.max, args.max_ground):
         start = time.perf_counter()
         try:
             ok, detail = check()
         except (GuardExceededError, ClosureOverflowError) as exc:
             print(f"[SKIP] {name}: guard exceeded ({exc})")
+            skipped += 1
             continue
         elapsed = time.perf_counter() - start
         tag = "PASS" if ok else "FAIL"
         print(f"[{tag}] {name} ({elapsed:.2f}s) {detail}")
-        if not ok:
-            failures += 1
-    return EXIT_OK if failures == 0 else EXIT_NEGATIVE
+        if ok:
+            passed += 1
+        else:
+            failed += 1
+    print(f"summary: passed={passed} failed={failed} skipped={skipped}")
+    if passed + failed + skipped == 0:
+        print(f"error: suite {args.suite!r} selected no checks",
+              file=sys.stderr)
+        return EXIT_INPUT
+    if failed:
+        return EXIT_NEGATIVE
+    return EXIT_GUARD if skipped else EXIT_OK
 
 
 if __name__ == "__main__":

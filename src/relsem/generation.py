@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from . import _accel
 from .errors import ClosureOverflowError, GroundMismatchError
 from .partitions import LabeledPartition, Partition, ProductKind, product
 from .relations import BinaryRelation, GroundSet
@@ -37,9 +38,6 @@ class GeneratedSemigroup:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def index_of(self, rel: BinaryRelation) -> int:
-        return self.elements.index(rel)
 
     def to_abstract(self) -> AbstractSemigroup:
         """The abstract Cayley table with synthesized element names.
@@ -88,40 +86,21 @@ def generate(gens: Sequence[BinaryRelation],
     if len(labels) != len(gens):
         raise ValueError("one label per generator required")
 
-    index_by_key: dict[int, int] = {}
-    elements: list[BinaryRelation] = []
-    elem_labels: list[str | None] = []
-    generator_indices = []
-    for g, lab in zip(gens, labels):
-        key = g.key()
-        if key not in index_by_key:
-            index_by_key[key] = len(elements)
-            elements.append(g)
-            elem_labels.append(lab)
-        generator_indices.append(index_by_key[key])
-    unique_gens = list(elements)
-
-    frontier = list(elements)
-    while frontier:
-        fresh: dict[int, BinaryRelation] = {}
-        for e in frontier:
-            for g in unique_gens:
-                for p in (e.compose(g), g.compose(e)):
-                    key = p.key()
-                    if key not in index_by_key and key not in fresh:
-                        fresh[key] = p
-        frontier = []
-        for key in sorted(fresh):
-            if len(elements) >= max_elements:
-                raise ClosureOverflowError(
-                    f"closure exceeded the cap of {max_elements} elements")
-            index_by_key[key] = len(elements)
-            elements.append(fresh[key])
-            elem_labels.append(None)
-            frontier.append(fresh[key])
-
-    table = [[index_by_key[a.compose(b).key()] for b in elements]
-             for a in elements]
+    n = ground.size
+    keys = [g.key() for g in gens]
+    closed = _accel.closure(keys, n, max_elements)
+    if closed is None:
+        raise ClosureOverflowError(
+            f"closure exceeded the cap of {max_elements} elements")
+    index_by_key = {key: i for i, key in enumerate(closed)}
+    first_label: dict[int, str | None] = {}
+    for key, lab in zip(keys, labels):
+        first_label.setdefault(key, lab)
+    elements = [BinaryRelation.from_key(ground, key) for key in closed]
+    elem_labels = [first_label.get(key) for key in closed]
+    generator_indices = [index_by_key[key] for key in keys]
+    table = [[index_by_key[_accel.compose_mask(a, b, n)] for b in closed]
+             for a in closed]
     return GeneratedSemigroup(ground, elements, table, generator_indices,
                               elem_labels)
 
@@ -144,7 +123,3 @@ def from_partition(p: Partition | LabeledPartition,
     rels = labeled.block_relations()
     labels = tuple(labeled.label(b) for b in range(labeled.block_count))
     return generate(rels, labels, max_elements)
-
-
-def abstract(g: GeneratedSemigroup) -> AbstractSemigroup:
-    return g.to_abstract()

@@ -444,23 +444,9 @@ def enumerate_partitions(m: int, max_blocks: int | None = None) -> Iterator[Part
     if maxk < 1:
         raise ValueError("max_blocks must be >= 1")
     ground = GroundSet(m)
-    a = [0] * m
-    b = [0] * m
-    while True:
-        yield Partition(ground, a)
-        advanced = False
-        for i in range(m - 1, 0, -1):
-            cap = min(b[i] + 1, maxk - 1)
-            if a[i] < cap:
-                a[i] += 1
-                cur = max(b[i], a[i])
-                for j in range(i + 1, m):
-                    a[j] = 0
-                    b[j] = cur
-                advanced = True
-                break
-        if not advanced:
-            return
+    for rows in _accel.rgs_batches(m, maxk, batch_size=1024):
+        for row in rows.tolist():
+            yield Partition(ground, row)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._accel import compose_mask
 from .errors import FormatError, GroundMismatchError
 
 
@@ -80,6 +81,15 @@ class BinaryRelation:
         return cls(ground, rows)
 
     @classmethod
+    def from_key(cls, ground: GroundSet, key: int):
+        """The relation whose ``key()`` is ``key``."""
+        n = ground.size
+        mask = (1 << n) - 1
+        if key >> (n * n):
+            raise ValueError("key has bits outside the pair set")
+        return cls(ground, ((key >> (x * n)) & mask for x in range(n)))
+
+    @classmethod
     def diagonal(cls, ground: GroundSet):
         return cls(ground, tuple(1 << x for x in range(ground.size)))
 
@@ -142,19 +152,9 @@ class BinaryRelation:
     def compose(self, other: "BinaryRelation") -> "BinaryRelation":
         """Relation product: (x, y) iff some z has (x, z) here, (z, y) there."""
         _check_same_ground(self, other)
-        srows = other.rows
-        out = []
-        for row in self.rows:
-            acc = 0
-            t = row
-            j = 0
-            while t:
-                if t & 1:
-                    acc |= srows[j]
-                t >>= 1
-                j += 1
-            out.append(acc)
-        return BinaryRelation(self.ground, out)
+        n = self.ground.size
+        return BinaryRelation.from_key(
+            self.ground, compose_mask(self.key(), other.key(), n))
 
     def converse(self) -> "BinaryRelation":
         n = self.ground.size

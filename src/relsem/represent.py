@@ -27,6 +27,13 @@ from .partitions import LabeledPartition, Partition, ProductKind
 from .relations import GroundSet
 from .semigroups import AbstractSemigroup, find_isomorphism
 
+#: Largest ground size a search accepts.  At n = 8 every block count
+#: k >= 2 already gives S(64, 2) = 2**63 - 1 candidate partitions, which
+#: no sweep finishes; refusing up front also keeps the exact candidate
+#: estimate, whose cost grows with the cube of max_ground, from running
+#: long on a huge bound.
+MAX_SEARCH_GROUND = 7
+
 
 @dataclass(frozen=True)
 class DTransitiveWitness:
@@ -351,9 +358,9 @@ def search_d_transitive(h: AbstractSemigroup, max_ground: int = 4,
     bounds = SearchBounds(max_ground, counts)
     if not counts:
         return SearchReport(None, 0, bounds)
-    if max_ground > _accel.MAX_PACKED_GROUND:
+    if max_ground > MAX_SEARCH_GROUND:
         raise GuardExceededError(
-            f"search supports ground sizes up to {_accel.MAX_PACKED_GROUND}")
+            f"search supports ground sizes up to {MAX_SEARCH_GROUND}")
     estimate = count_candidates(max_ground, counts)
     if estimate > max_candidates:
         raise GuardExceededError(

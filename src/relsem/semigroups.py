@@ -132,11 +132,6 @@ class AbstractSemigroup:
         return AbstractSemigroup(names, table)
 
 
-def validate(names: Sequence[str], table) -> AbstractSemigroup:
-    """Construct a semigroup, raising AssociativityError with a witness."""
-    return AbstractSemigroup(names, table)
-
-
 # ---------------------------------------------------------------------------
 # identity adjunction, ideals
 # ---------------------------------------------------------------------------
@@ -153,13 +148,6 @@ def adjoin_identity(h: AbstractSemigroup) -> AbstractSemigroup:
     table = [list(row) + [i] for i, row in enumerate(h.table)]
     table.append(list(range(m + 1)))
     return AbstractSemigroup(names, table)
-
-
-def is_subsemigroup(h: AbstractSemigroup, subset: Iterable[int]) -> bool:
-    sub = set(subset)
-    if not sub:
-        raise ValueError("subset must be nonempty")
-    return h.is_closed(sub)
 
 
 def is_ideal(h: AbstractSemigroup, subset: Iterable[int]) -> bool:

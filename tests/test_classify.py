@@ -13,7 +13,7 @@ from relsem.relations import GroundSet
 from relsem.semigroups import (AbstractSemigroup, BandDecomposition,
                                adjoin_identity, band_union_with_core,
                                cyclic_group, find_isomorphism, group_with_zero,
-                               is_ideal, null_band, validate)
+                               is_ideal, null_band)
 
 
 def closure_table(k, kind):
@@ -46,7 +46,7 @@ def test_plain_fixture_core_is_member():
 
 
 def test_plain_single_element_member():
-    one = validate(["e"], [[0]])
+    one = AbstractSemigroup(["e"], [[0]])
     verdict = check_product_class(one, ProductKind.PLAIN)
     assert verdict.member
     model = verdict.model
@@ -289,13 +289,13 @@ def test_unit_membership_via_adjunction():
 
 
 def test_unit_single_element():
-    one = validate(["e"], [[0]])
+    one = AbstractSemigroup(["e"], [[0]])
     assert check_product_class(one, ProductKind.UNIT).member
 
 
 def test_unit_rejects_two_element_monoid():
     # zero with an identity adjoined: complement is a lone monoid
-    h = validate(["z", "e"], [[0, 0], [0, 1]])
+    h = AbstractSemigroup(["z", "e"], [[0, 0], [0, 1]])
     verdict = check_product_class(h, ProductKind.UNIT)
     assert not verdict.member
     assert not verdict.condition("complement-identity-free").passed

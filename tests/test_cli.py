@@ -148,15 +148,20 @@ def test_verify_suites(capsys):
     out = capsys.readouterr().out
     assert "[PASS] size-plain-k2" in out
     assert "FAIL" not in out
+    assert out.endswith("summary: passed=12 failed=0 skipped=0\n")
     assert main(["verify", "--suite", "reps", "--max-ground", "3"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] search-group2" in out
+    assert out.endswith("summary: passed=6 failed=0 skipped=0\n")
+    # a run that checked nothing, or skipped a check, is not a success
+    assert main(["verify", "--suite", "sizes", "--max", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "summary: passed=0 failed=0 skipped=0\n"
+    assert captured.err.startswith("error:")
+    assert main(["verify", "--suite", "reps", "--max-ground", "7"]) == 3
+    out = capsys.readouterr().out
+    assert "[SKIP] search-diag-offdiag-3: guard exceeded" in out
+    assert out.endswith("summary: passed=5 failed=0 skipped=1\n")
     assert main(["verify", "--suite", "reps", "--max-ground", "0"]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
-
-def test_output_independent_of_threads(tmp_path, fixture_cay, capsys):
-    main(["classify", str(fixture_cay)])
-    base = capsys.readouterr().out
-    main(["--threads", "8", "classify", str(fixture_cay)])
-    assert capsys.readouterr().out == base

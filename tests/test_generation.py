@@ -50,6 +50,13 @@ def test_generate_element_cap():
     g = GroundSet(3)
     with pytest.raises(ClosureOverflowError):
         generate([BinaryRelation.diagonal(g), offdiagonal(3)], max_elements=2)
+    # the cap binds the generators too, even when they already close
+    two = GroundSet(2)
+    idempotents = [BinaryRelation.diagonal(two), BinaryRelation.full(two),
+                   BinaryRelation.empty(two)]
+    assert len(generate(idempotents, max_elements=3)) == 3
+    with pytest.raises(ClosureOverflowError):
+        generate(idempotents, max_elements=2)
 
 
 def test_closure_sizes():

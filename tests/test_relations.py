@@ -179,6 +179,17 @@ def test_key_orders_by_packed_bits():
     assert lo.key() < hi.key()
 
 
+def test_from_key_inverts_key():
+    rng = random.Random(3)
+    for _ in range(50):
+        r = random_relation(rng, rng.randint(1, 9))
+        assert BinaryRelation.from_key(r.ground, r.key()) == r
+    with pytest.raises(ValueError):
+        BinaryRelation.from_key(GroundSet(2), 1 << 4)
+    with pytest.raises(ValueError):
+        BinaryRelation.from_key(GroundSet(2), -1)
+
+
 # -- .rel format --------------------------------------------------------------
 
 def test_rel_round_trip():

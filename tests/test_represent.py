@@ -14,9 +14,9 @@ from relsem.represent import (admissible_generator_counts, clear_catalogues,
                               count_candidates, represent_left_zero, represent_member,
                               represent_right_zero, search_d_transitive,
                               verify_witness)
-from relsem.semigroups import (cyclic_group, group_with_zero,
-                               left_zero_semigroup, null_band,
-                               right_zero_semigroup, validate)
+from relsem.semigroups import (AbstractSemigroup, cyclic_group,
+                               group_with_zero, left_zero_semigroup,
+                               null_band, right_zero_semigroup)
 
 
 def closure_table(k, kind):
@@ -34,7 +34,7 @@ def diag_offdiag_monoid(n):
 
 def test_admissible_counts():
     assert admissible_generator_counts(cyclic_group(2)) == (1, 2)
-    assert admissible_generator_counts(validate(["e"], [[0]])) == (1,)
+    assert admissible_generator_counts(AbstractSemigroup(["e"], [[0]])) == (1,)
     # a right-zero semigroup only generates itself
     assert admissible_generator_counts(right_zero_semigroup(3)) == (3,)
     # the zero of a group with zero is unreachable from nonzero elements
@@ -185,7 +185,7 @@ def test_search_handles_wide_block_counts():
 
 
 def test_search_single_element():
-    report = search_d_transitive(validate(["e"], [[0]]), max_ground=1)
+    report = search_d_transitive(AbstractSemigroup(["e"], [[0]]), max_ground=1)
     assert report.found
     assert report.witness.ground.size == 1
 

@@ -11,14 +11,14 @@ from relsem.semigroups import (AbstractSemigroup, adjoin_identity, band_order,
                                band_union_with_core, cyclic_group,
                                find_isomorphism, format_cay, group_with_zero,
                                hasse_dot, identity_absorbing_union, is_ideal,
-                               is_subsemigroup, left_zero_semigroup, null_band,
-                               parse_cay, right_zero_semigroup, validate)
+                               left_zero_semigroup, null_band, parse_cay,
+                               right_zero_semigroup)
 
 
 def test_validate_accepts_fixture_and_trivial():
     fix = seven_element_absorbing_union()
     assert fix.size == 7
-    one = validate(["e"], [[0]])
+    one = AbstractSemigroup(["e"], [[0]])
     assert one.identity() == 0
     assert one.zero() is None
 
@@ -27,17 +27,17 @@ def test_validate_rejects_non_associative_with_witness():
     # x*x = y, everything else x: (x*x)*x = y*x = x, x*(x*x) = x*y = x... use
     # a genuinely broken table instead
     with pytest.raises(AssociativityError) as info:
-        validate(["a", "b"], [[1, 0], [0, 0]])
+        AbstractSemigroup(["a", "b"], [[1, 0], [0, 0]])
     assert len(info.value.triple) == 3
 
 
 def test_validate_rejects_bad_input():
     with pytest.raises(ValueError):
-        validate(["a", "a"], [[0, 0], [0, 0]])
+        AbstractSemigroup(["a", "a"], [[0, 0], [0, 0]])
     with pytest.raises(ValueError):
-        validate(["a"], [[1]])
+        AbstractSemigroup(["a"], [[1]])
     with pytest.raises(ValueError):
-        validate(["a b"], [[0]])
+        AbstractSemigroup(["a b"], [[0]])
 
 
 def test_special_elements_fixture():
@@ -53,7 +53,7 @@ def test_special_elements_fixture():
 
 
 def test_special_elements_conventions():
-    one = validate(["e"], [[0]])
+    one = AbstractSemigroup(["e"], [[0]])
     assert one.identity() == 0 and one.zero() is None
     z2 = cyclic_group(2)
     assert z2.identity() == 0 and z2.zero() is None
@@ -77,12 +77,12 @@ def test_adjoin_identity():
 def test_ideals_and_subsemigroups():
     fix = seven_element_absorbing_union()
     core = list(range(5))
-    assert is_subsemigroup(fix, core)
+    assert fix.is_closed(core)
     assert is_ideal(fix, core)
     assert is_ideal(fix, [fix.zero()])
     assert is_ideal(fix, range(7))
     group = [5, 6]
-    assert is_subsemigroup(fix, group)
+    assert fix.is_closed(group)
     assert not is_ideal(fix, group)
     with pytest.raises(ValueError):
         is_ideal(fix, [])
@@ -112,7 +112,7 @@ def test_power_orbit():
 # -- band order -----------------------------------------------------------------
 
 def test_band_order_single_idempotent():
-    one = validate(["e"], [[0]])
+    one = AbstractSemigroup(["e"], [[0]])
     order = band_order(one, [0])
     assert order.elements == (0,)
     assert order.covers == ()
@@ -155,7 +155,7 @@ def test_band_order_axioms_on_random_union_bands():
         idx = {v: i for i, v in enumerate(masks)}
         names = [f"m{v}" for v in masks]
         table = [[idx[a | b] for b in masks] for a in masks]
-        h = validate(names, table)
+        h = AbstractSemigroup(names, table)
         order = band_order(h, range(len(masks)))
         for (a, b) in order.covers:
             assert (b, a) in order.le
@@ -183,7 +183,7 @@ def test_iso_identity_and_relabeling():
     for i in range(7):
         for j in range(7):
             table[perm[i]][perm[j]] = perm[fix.table[i][j]]
-    shuffled = validate(names, table)
+    shuffled = AbstractSemigroup(names, table)
     mapping = find_isomorphism(fix, shuffled)
     assert mapping is not None
     assert all(mapping[fix.table[i][j]] == shuffled.table[mapping[i]][mapping[j]]
@@ -243,8 +243,8 @@ def test_identity_absorbing_union_rebuilds_fixture():
 
 
 def test_identity_absorbing_union_small():
-    a = validate(["p"], [[0]])
-    b = validate(["q"], [[0]])
+    a = AbstractSemigroup(["p"], [[0]])
+    b = AbstractSemigroup(["q"], [[0]])
     u = identity_absorbing_union(a, b)
     assert u.size == 2
     assert u.table == ((0, 0), (0, 1))
