@@ -75,6 +75,18 @@ def closure(gens, n, cap):
     return elements
 
 
+def block_masks(assignment, k):
+    """Bit i of ``masks[b]`` is set iff ``assignment[i] == b``.
+
+    For a partition of the n*n pair set, ``masks[b]`` is block b's packed
+    relation.
+    """
+    masks = [0] * k
+    for idx, block in enumerate(assignment):
+        masks[block] |= 1 << idx
+    return masks
+
+
 # ---------------------------------------------------------------------------
 # restricted growth strings
 # ---------------------------------------------------------------------------
@@ -176,10 +188,7 @@ def _fingerprint_loop(rows, n, admissible_mask, cap, out):
             fps.append((k, 0, 0, 0, 0, 0))
             continue
         examined += 1
-        masks = [0] * k
-        for idx, block in enumerate(row):
-            masks[block] |= 1 << idx
-        els = closure(masks, n, cap)
+        els = closure(block_masks(row, k), n, cap)
         if els is None:
             fps.append((k, cap + 1, 0, 0, 0, 0))
         elif len(els) != cap:

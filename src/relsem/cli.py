@@ -546,22 +546,28 @@ def _checks_reps(max_ground: int):
 
 
 def _suite_checks(suite: str, maxk: int | None, max_ground: int):
+    def bound(default: int) -> int:
+        return default if maxk is None else maxk
+
     if suite in ("sizes", "all"):
-        yield from _checks_sizes(maxk or 5)
+        yield from _checks_sizes(bound(5))
     if suite in ("lattice", "all"):
-        yield from _checks_lattice(min(maxk or 3, 3))
+        yield from _checks_lattice(min(bound(3), 3))
     if suite in ("h1", "all"):
-        yield from _checks_membership(ProductKind.PLAIN, maxk or 4, 6)
+        yield from _checks_membership(ProductKind.PLAIN, bound(4), 6)
     if suite in ("hs", "all"):
-        yield from _checks_membership(ProductKind.SYM, maxk or 4, 6)
+        yield from _checks_membership(ProductKind.SYM, bound(4), 6)
         yield from _checks_hs_extras()
     if suite in ("iso", "all"):
-        yield from _checks_iso(maxk or 4)
+        yield from _checks_iso(bound(4))
     if suite in ("reps", "all"):
         yield from _checks_reps(max_ground)
 
 
 def _cmd_verify(args) -> int:
+    if args.max is not None and args.max < 1:
+        print(f"error: --max must be >= 1, got {args.max}", file=sys.stderr)
+        return EXIT_INPUT
     if args.max_ground < 1:
         print(f"error: --max-ground must be >= 1, got {args.max_ground}",
               file=sys.stderr)

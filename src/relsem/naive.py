@@ -1,7 +1,7 @@
 """Set-of-pairs relation closure, kept independent of the bitset path.
 
 This module exists as the second route of every dual-route check: the
-generation module and the search kernels work on packed bit rows, while
+generation module and the search kernels work on packed relations, while
 the functions here manipulate plain frozensets of index pairs.  Tests and
 the verification harness compare the two.
 """
@@ -29,7 +29,7 @@ def closure_pairs(generators: Iterable[Iterable[tuple[int, int]]],
 
     Returns ``(elements, table)`` with elements in breadth-first order
     (generators first, new levels sorted by their pair lists), or None if
-    the closure grows past ``cap`` elements.
+    the closure grows past ``cap`` elements, the generators included.
     """
     gens: list[frozenset] = []
     for g in generators:
@@ -38,6 +38,8 @@ def closure_pairs(generators: Iterable[Iterable[tuple[int, int]]],
             gens.append(g)
     if not gens:
         raise ValueError("at least one generator required")
+    if cap is not None and len(gens) > cap:
+        return None
     elements = list(gens)
     seen = set(elements)
     frontier = list(elements)

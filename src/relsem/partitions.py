@@ -4,7 +4,9 @@ Partitions are stored in canonical restricted-growth form: block indices
 are ordered by the minimal element they contain, so equal partitions have
 identical assignment tuples.  A LabeledPartition is a partition of the
 pair set of some ground set X; pair (x, y) is encoded at index x*n + y,
-with n = |X|.  That encoding is fixed and shared by every module.
+with n = |X|.  That encoding is fixed and shared by every module: it is
+also the bit of (x, y) in a relation's packed int, so a block's relation
+is stored as the bitmask of its pair indices (``_accel.block_masks``).
 """
 
 from __future__ import annotations
@@ -100,12 +102,9 @@ class Partition:
 
 def to_equivalence(p: Partition) -> BinaryRelation:
     """The induced equivalence: the union of the squares of the blocks."""
-    n = p.ground.size
-    block_masks = [0] * p.block_count
-    for x, b in enumerate(p.assignment):
-        block_masks[b] |= 1 << x
-    rows = [block_masks[p.assignment[x]] for x in range(n)]
-    return BinaryRelation(p.ground, rows)
+    # row x of the equivalence is the block of x
+    masks = _accel.block_masks(p.assignment, p.block_count)
+    return BinaryRelation(p.ground, [masks[b] for b in p.assignment])
 
 
 def from_equivalence(r: BinaryRelation) -> Partition:
@@ -113,13 +112,8 @@ def from_equivalence(r: BinaryRelation) -> Partition:
     violation = r.equivalence_violation()
     if violation is not None:
         raise NotEquivalenceError(violation)
-    seen: dict[int, int] = {}
-    assignment = []
-    for row in r.rows:
-        if row not in seen:
-            seen[row] = len(seen)
-        assignment.append(seen[row])
-    return Partition(r.ground, assignment)
+    # row x is the class of x; Partition numbers the classes canonically
+    return Partition(r.ground, r.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +137,7 @@ def refinement_by_relation_inclusion(p1: Partition, p2: Partition) -> bool:
     """Equivalence route: the induced relation of p1 is a subset of p2's."""
     if p1.ground.size != p2.ground.size:
         raise GroundMismatchError("partitions over different ground sets")
-    r1 = to_equivalence(p1)
-    r2 = to_equivalence(p2)
-    return all(a & ~b == 0 for a, b in zip(r1.rows, r2.rows))
+    return to_equivalence(p1).key() & ~to_equivalence(p2).key() == 0
 
 
 def refinement_by_block_union(p1: Partition, p2: Partition) -> bool:
@@ -237,13 +229,12 @@ class LabeledPartition:
         return self.base.assignment[x * self.ground.size + y]
 
     def block_relation(self, b: int) -> BinaryRelation:
-        n = self.ground.size
-        pairs = [(idx // n, idx % n)
-                 for idx, blk in enumerate(self.base.assignment) if blk == b]
-        return BinaryRelation.from_pairs(self.ground, pairs)
+        return self.block_relations()[b]
 
     def block_relations(self) -> tuple[BinaryRelation, ...]:
-        return tuple(self.block_relation(b) for b in range(self.block_count))
+        """Every block as a relation, built in one pass over the pairs."""
+        masks = _accel.block_masks(self.base.assignment, self.block_count)
+        return tuple(BinaryRelation.from_key(self.ground, m) for m in masks)
 
     def __eq__(self, other):
         if not isinstance(other, LabeledPartition):

@@ -1,9 +1,13 @@
 """Finite binary relations over an indexed ground set.
 
-A relation is stored as one Python int per row: bit y of ``rows[x]`` is set
-iff the pair (x, y) belongs to the relation.  Values are immutable and
-hashable, equality is extensional (ground size plus pair set), and all
-operations are pure functions, so relations are safe to share freely.
+A relation is stored as its packed int, ``key()``: the bit for pair (x, y)
+sits at position x*n + y, the pair's index in every partition of the pair
+set, so row x occupies bits [x*n, (x+1)*n) and a pair-set block's key is
+the bitmask of its pair indices.  The algebra and the laws are bit
+expressions over that int; ``rows`` derives the per-row view on demand.
+Values are immutable and hashable, equality is extensional (ground size
+plus pair set), and all operations are pure functions, so relations are
+safe to share freely.
 
 Ground sets are index based (0..n-1); optional labels are presentation
 only and never influence semantics.
@@ -51,7 +55,7 @@ def _check_same_ground(a: "BinaryRelation", b: "BinaryRelation"):
 class BinaryRelation:
     """A subset of the Cartesian square of a ground set."""
 
-    __slots__ = ("ground", "rows")
+    __slots__ = ("ground", "_key")
 
     def __init__(self, ground: GroundSet, rows: Iterable[int]):
         rows = tuple(rows)
@@ -59,11 +63,13 @@ class BinaryRelation:
         if len(rows) != n:
             raise ValueError(f"expected {n} rows, got {len(rows)}")
         mask = (1 << n) - 1
-        for row in rows:
+        key = 0
+        for x, row in enumerate(rows):
             if row < 0 or row & ~mask:
                 raise ValueError("row has bits outside the ground set")
+            key |= row << (x * n)
         object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_key", key)
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryRelation is immutable")
@@ -73,76 +79,78 @@ class BinaryRelation:
     @classmethod
     def from_pairs(cls, ground: GroundSet, pairs: Iterable[tuple[int, int]]):
         n = ground.size
-        rows = [0] * n
+        key = 0
         for x, y in pairs:
             if not (0 <= x < n and 0 <= y < n):
                 raise ValueError(f"pair ({x}, {y}) outside 0..{n - 1}")
-            rows[x] |= 1 << y
-        return cls(ground, rows)
+            key |= 1 << (x * n + y)
+        return cls.from_key(ground, key)
 
     @classmethod
     def from_key(cls, ground: GroundSet, key: int):
         """The relation whose ``key()`` is ``key``."""
-        n = ground.size
-        mask = (1 << n) - 1
-        if key >> (n * n):
+        if key < 0 or key >> (ground.size * ground.size):
             raise ValueError("key has bits outside the pair set")
-        return cls(ground, ((key >> (x * n)) & mask for x in range(n)))
+        rel = object.__new__(cls)
+        object.__setattr__(rel, "ground", ground)
+        object.__setattr__(rel, "_key", key)
+        return rel
 
     @classmethod
     def diagonal(cls, ground: GroundSet):
-        return cls(ground, tuple(1 << x for x in range(ground.size)))
+        return cls.from_pairs(ground, ((x, x) for x in range(ground.size)))
 
     @classmethod
     def full(cls, ground: GroundSet):
-        mask = (1 << ground.size) - 1
-        return cls(ground, (mask,) * ground.size)
+        return cls.from_key(ground, (1 << (ground.size * ground.size)) - 1)
 
     @classmethod
     def empty(cls, ground: GroundSet):
-        return cls(ground, (0,) * ground.size)
+        return cls.from_key(ground, 0)
 
     # -- basic queries -------------------------------------------------
 
+    def key(self) -> int:
+        """Packed integer with row x at bits [x*n, (x+1)*n); total order."""
+        return self._key
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Row x as an int whose bit y is set iff (x, y) is present."""
+        n = self.ground.size
+        mask = (1 << n) - 1
+        return tuple(self._key >> (x * n) & mask for x in range(n))
+
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """All pairs in row-major sorted order."""
+        n = self.ground.size
         out = []
-        for x, row in enumerate(self.rows):
-            y = 0
-            while row:
-                if row & 1:
-                    out.append((x, y))
-                row >>= 1
-                y += 1
+        k = self._key
+        while k:
+            low = k & -k
+            out.append(divmod(low.bit_length() - 1, n))
+            k ^= low
         return tuple(out)
 
     @property
     def pair_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows)
+        return self._key.bit_count()
 
     def __contains__(self, pair) -> bool:
         x, y = pair
         n = self.ground.size
-        return 0 <= x < n and 0 <= y < n and bool(self.rows[x] >> y & 1)
+        return 0 <= x < n and 0 <= y < n and bool(self._key >> (x * n + y) & 1)
 
     def is_empty(self) -> bool:
-        return all(row == 0 for row in self.rows)
-
-    def key(self) -> int:
-        """Packed integer with row x at bits [x*n, (x+1)*n); total order."""
-        n = self.ground.size
-        acc = 0
-        for x, row in enumerate(self.rows):
-            acc |= row << (x * n)
-        return acc
+        return self._key == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryRelation):
             return NotImplemented
-        return self.ground.size == other.ground.size and self.rows == other.rows
+        return self.ground.size == other.ground.size and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self.ground.size, self.rows))
+        return hash((self.ground.size, self._key))
 
     def __repr__(self) -> str:
         return f"BinaryRelation(n={self.ground.size}, pairs={list(self.pairs())!r})"
@@ -152,83 +160,55 @@ class BinaryRelation:
     def compose(self, other: "BinaryRelation") -> "BinaryRelation":
         """Relation product: (x, y) iff some z has (x, z) here, (z, y) there."""
         _check_same_ground(self, other)
-        n = self.ground.size
         return BinaryRelation.from_key(
-            self.ground, compose_mask(self.key(), other.key(), n))
+            self.ground, compose_mask(self._key, other._key, self.ground.size))
 
     def converse(self) -> "BinaryRelation":
         n = self.ground.size
-        out = [0] * n
-        for x, row in enumerate(self.rows):
-            y = 0
-            while row:
-                if row & 1:
-                    out[y] |= 1 << x
-                row >>= 1
-                y += 1
-        return BinaryRelation(self.ground, out)
+        out = 0
+        for x, y in self.pairs():
+            out |= 1 << (y * n + x)
+        return BinaryRelation.from_key(self.ground, out)
 
     def __or__(self, other: "BinaryRelation") -> "BinaryRelation":
         _check_same_ground(self, other)
-        return BinaryRelation(self.ground,
-                              tuple(a | b for a, b in zip(self.rows, other.rows)))
+        return BinaryRelation.from_key(self.ground, self._key | other._key)
 
     def __and__(self, other: "BinaryRelation") -> "BinaryRelation":
         _check_same_ground(self, other)
-        return BinaryRelation(self.ground,
-                              tuple(a & b for a, b in zip(self.rows, other.rows)))
+        return BinaryRelation.from_key(self.ground, self._key & other._key)
 
     # -- relational laws -----------------------------------------------
 
     def is_reflexive(self) -> bool:
-        return all(self.rows[x] >> x & 1 for x in range(self.ground.size))
+        return self.diagonal(self.ground)._key & ~self._key == 0
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.converse().rows
+        return self == self.converse()
 
     def is_transitive(self) -> bool:
-        # row(x) must absorb row(z) for every z reachable from x
-        for row in self.rows:
-            t = row
-            z = 0
-            while t:
-                if t & 1 and self.rows[z] & ~row:
-                    return False
-                t >>= 1
-                z += 1
-        return True
+        k = self._key
+        return compose_mask(k, k, self.ground.size) & ~k == 0
 
     def is_equivalence(self) -> bool:
         return self.equivalence_violation() is None
 
     def equivalence_violation(self) -> str | None:
         """First violated equivalence law with a witness, or None."""
-        n = self.ground.size
-        for x in range(n):
-            if not self.rows[x] >> x & 1:
+        for x in range(self.ground.size):
+            if (x, x) not in self:
                 return f"not reflexive: ({x}, {x}) missing"
-        for x in range(n):
-            row = self.rows[x]
-            y = 0
-            t = row
-            while t:
-                if t & 1 and not self.rows[y] >> x & 1:
-                    return f"not symmetric: ({x}, {y}) present, ({y}, {x}) missing"
-                t >>= 1
-                y += 1
-        for x in range(n):
-            row = self.rows[x]
-            t = row
-            y = 0
-            while t:
-                if t & 1:
-                    extra = self.rows[y] & ~row
-                    if extra:
-                        z = (extra & -extra).bit_length() - 1
-                        return (f"not transitive: ({x}, {y}) and ({y}, {z}) "
-                                f"present, ({x}, {z}) missing")
-                t >>= 1
-                y += 1
+        pairs = self.pairs()
+        for x, y in pairs:
+            if (y, x) not in self:
+                return f"not symmetric: ({x}, {y}) present, ({y}, {x}) missing"
+        rows = self.rows
+        for x, y in pairs:
+            extra = rows[y] & ~rows[x]
+            if extra:
+                z = (extra & -extra).bit_length() - 1
+                return (f"not transitive: ({x}, {y}) and ({y}, {z}) "
+                        f"present, ({x}, {z}) missing")
         return None
 
     # -- domain and range ----------------------------------------------
@@ -237,10 +217,7 @@ class BinaryRelation:
         return frozenset(x for x, row in enumerate(self.rows) if row)
 
     def range(self) -> frozenset[int]:
-        acc = 0
-        for row in self.rows:
-            acc |= row
-        return frozenset(y for y in range(self.ground.size) if acc >> y & 1)
+        return frozenset(y for _, y in self.pairs())
 
 
 # ---------------------------------------------------------------------------

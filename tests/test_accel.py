@@ -209,28 +209,39 @@ def _naive_levels(blocks):
     return levels[:-1]
 
 
-def test_closure_matches_naive_closure_level_by_level():
+def _closure_inputs():
+    """Partition blocks of the fingerprint samples, then a generator set
+    that is no partition: on two points the diagonal, the full and the
+    empty relation, three generators that alone exceed a cap of two."""
     for n, rows in _fingerprint_samples():
         for row in rows:
-            blocks = _blocks(row, n)
-            levels = _naive_levels(blocks)
-            size = len(closure_pairs(blocks)[0])
-            assert size == sum(map(len, levels))
-            gens = [_mask_from_pairs(b, n) for b in blocks]
-            got = _accel.closure(gens, n, size)
-            assert got[:len(gens)] == gens
-            start = 0
-            for depth, level in enumerate(levels):
-                chunk = got[start:start + len(level)]
-                assert set(chunk) == {_mask_from_pairs(e, n)
-                                      for e in level}, row
-                assert depth == 0 or chunk == sorted(chunk), row
-                start += len(level)
-            assert start == len(got)
-            for cap in {1, len(gens), size - 1, size + 1}:
-                if cap >= 1:
-                    assert (_accel.closure(gens, n, cap) is None) == \
-                        (size > cap), (row, cap)
+            yield n, _blocks(row, n)
+    full = frozenset((x, y) for x in range(2) for y in range(2))
+    yield 2, [frozenset({(0, 0), (1, 1)}), full, frozenset()]
+
+
+def test_closure_matches_naive_closure_level_by_level():
+    for n, blocks in _closure_inputs():
+        levels = _naive_levels(blocks)
+        size = len(closure_pairs(blocks)[0])
+        assert size == sum(map(len, levels))
+        gens = [_mask_from_pairs(b, n) for b in blocks]
+        got = _accel.closure(gens, n, size)
+        assert got[:len(gens)] == gens
+        start = 0
+        for depth, level in enumerate(levels):
+            chunk = got[start:start + len(level)]
+            assert set(chunk) == {_mask_from_pairs(e, n)
+                                  for e in level}, blocks
+            assert depth == 0 or chunk == sorted(chunk), blocks
+            start += len(level)
+        assert start == len(got)
+        for cap in {1, len(gens), size - 1, size + 1}:
+            if cap >= 1:
+                assert (_accel.closure(gens, n, cap) is None) == \
+                    (size > cap), (blocks, cap)
+                assert (closure_pairs(blocks, cap=cap) is None) == \
+                    (size > cap), (blocks, cap)
 
 
 def test_closure_deduplicates_generators_in_given_order():

@@ -164,4 +164,11 @@ def test_verify_suites(capsys):
     assert out.endswith("summary: passed=5 failed=0 skipped=1\n")
     assert main(["verify", "--suite", "reps", "--max-ground", "0"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    # a --max below 1 is an input error, not the default bound
+    assert main(["verify", "--suite", "sizes", "--max", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert main(["verify", "--suite", "iso", "--max", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 

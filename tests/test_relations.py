@@ -190,6 +190,81 @@ def test_from_key_inverts_key():
         BinaryRelation.from_key(GroundSet(2), -1)
 
 
+def _all_pair_sets(n):
+    """Every relation on n points as a frozenset of pairs."""
+    square = [(x, y) for x in range(n) for y in range(n)]
+    for bits in range(1 << len(square)):
+        yield frozenset(p for i, p in enumerate(square) if bits >> i & 1)
+
+
+def _first_violation(n, s):
+    """The equivalence-law violation at the first row-major witness."""
+    for x in range(n):
+        if (x, x) not in s:
+            return f"not reflexive: ({x}, {x}) missing"
+    for x, y in sorted(s):
+        if (y, x) not in s:
+            return f"not symmetric: ({x}, {y}) present, ({y}, {x}) missing"
+    for x, y in sorted(s):
+        for z in range(n):
+            if (y, z) in s and (x, z) not in s:
+                return (f"not transitive: ({x}, {y}) and ({y}, {z}) "
+                        f"present, ({x}, {z}) missing")
+    return None
+
+
+def test_laws_match_pair_sets_exhaustively():
+    for n in (1, 2, 3):
+        g = GroundSet(n)
+        probes = [(x, y) for x in range(-1, n + 1) for y in range(-1, n + 1)]
+        for s in _all_pair_sets(n):
+            r = BinaryRelation.from_pairs(g, s)
+            assert r.pairs() == tuple(sorted(s))
+            assert r.pair_count == len(s)
+            assert r.is_empty() == (not s)
+            assert [p in r for p in probes] == [p in s for p in probes]
+            assert set(r.converse().pairs()) == {(y, x) for x, y in s}
+            assert r.is_reflexive() == all((x, x) in s for x in range(n))
+            assert r.is_symmetric() == all((y, x) in s for x, y in s)
+            assert r.is_transitive() == all(
+                (x, z) in s for x, y in s for y2, z in s if y == y2)
+            assert r.domain() == {x for x, _ in s}
+            assert r.range() == {y for _, y in s}
+            assert r.key() == sum(1 << (x * n + y) for x, y in s)
+            back = BinaryRelation.from_key(g, r.key())
+            assert back == r and back.pairs() == r.pairs()
+            rows = [sum(1 << y for y in range(n) if (x, y) in s)
+                    for x in range(n)]
+            assert r.rows == tuple(rows)
+            by_rows = BinaryRelation(g, rows)
+            assert by_rows == r and hash(by_rows) == hash(r)
+            violation = _first_violation(n, s)
+            assert r.equivalence_violation() == violation
+            assert r.is_equivalence() == (violation is None)
+    # a transitivity witness has a choice of z only from four points on:
+    # every reflexive symmetric relation on four points
+    g = GroundSet(4)
+    edges = [(x, y) for x in range(4) for y in range(x + 1, 4)]
+    for bits in range(1 << len(edges)):
+        s = {(x, x) for x in range(4)}
+        for i, (x, y) in enumerate(edges):
+            if bits >> i & 1:
+                s |= {(x, y), (y, x)}
+        r = BinaryRelation.from_pairs(g, s)
+        assert r.equivalence_violation() == _first_violation(4, s)
+    for n in (1, 2):
+        g = GroundSet(n)
+        sets = list(_all_pair_sets(n))
+        for a in sets:
+            ra = BinaryRelation.from_pairs(g, a)
+            for b in sets:
+                rb = BinaryRelation.from_pairs(g, b)
+                assert set((ra | rb).pairs()) == a | b
+                assert set((ra & rb).pairs()) == a & b
+                assert set(ra.compose(rb).pairs()) == {
+                    (x, z) for x, y in a for y2, z in b if y == y2}
+
+
 # -- .rel format --------------------------------------------------------------
 
 def test_rel_round_trip():
